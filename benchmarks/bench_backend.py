@@ -104,7 +104,7 @@ def bench_assign(
     )
     engine.backend.compile_corpus(transactions)
     representatives = select_seed_transactions(transactions, k, random.Random(seed))
-    # warm-up outside the timed region (content memo, transient compiles)
+    # warm-up outside the timed region (class registry, transient compiles)
     engine.assign_all(transactions, representatives)
     best, result = _time_best(
         lambda: engine.assign_all(transactions, representatives), repeats

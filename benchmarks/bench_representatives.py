@@ -138,7 +138,7 @@ def bench_refinement(
             for i, cluster in enumerate(clusters)
         ]
 
-    # warm-up outside the timed region (content memo, transient compiles)
+    # warm-up outside the timed region (class registry, transient compiles)
     run_ranking()
     run_refinement()
     rank_seconds, rankings = _time_best(run_ranking, repeats)

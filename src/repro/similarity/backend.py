@@ -17,8 +17,9 @@ architecture:
   (byte-for-byte the historical behaviour);
 * ``"numpy"`` -- :class:`NumpyBackend`, which compiles transactions once
   into feature blocks (tag-path id arrays indexing a dense precomputed
-  structural-similarity matrix, content-class id arrays indexing a memoised
-  content-similarity block, item-uid arrays for the union counts) and
+  structural-similarity matrix, content-class id arrays indexing a
+  content-similarity block computed by a sparse term join, item-uid arrays
+  for the union counts) and
   evaluates the two directed gamma-match passes as vectorized row/column
   reductions over ``(row_tile x column_tile)`` blocks of bounded item
   budget (``"numpy[:block=N]"``, default :data:`DEFAULT_BLOCK_ITEMS`;
@@ -45,8 +46,8 @@ machinery: :meth:`SimilarityBackend.score_candidates` evaluates every
 candidate tree tuple of one ``GenerateTreeTuple`` refinement as a batched
 cluster-vs-candidates block, and :meth:`SimilarityBackend.rank_items_batch`
 computes the blended structural/content item ranks of a whole item pool at
-once (the numpy backend reuses the compiled tag-path matrix and memoises
-TCU cosines per content class).
+once (the numpy backend reuses the compiled tag-path matrix and evaluates
+TCU cosines per content class with the same sparse term join).
 
 Bit-exact parity
 ----------------
@@ -55,11 +56,13 @@ approximately equal:
 
 * structural similarities are read from the same shared
   :class:`~repro.similarity.cache.TagPathSimilarityCache`;
-* content similarities are computed by the same scalar
-  :func:`~repro.similarity.content.content_similarity` function, memoised
-  per ordered pair of *content classes* (the ordered term/weight tuple of a
-  TCU vector, or the raw answer for empty TCUs -- exactly the information
-  that function consumes);
+* content similarities are evaluated per ordered pair of *content
+  classes* (the ordered term/weight tuple of a TCU vector, or the raw
+  answer for empty TCUs -- exactly the information
+  :func:`~repro.similarity.content.content_similarity` consumes) by an
+  array kernel that replays that function's IEEE-754 operations: the same
+  products, added in the order ``SparseVector.dot`` adds them, divided by
+  the product of the same scalar norms;
 * the blend ``f * sim_S + (1 - f) * sim_C`` is evaluated elementwise with
   the same IEEE-754 operation order as the scalar code, including the
   ``f == 0`` / ``f == 1`` short-circuits.
@@ -497,6 +500,177 @@ class _CompiledTransaction:
         return uid_set
 
 
+class _ContentClasses:
+    """CSR registry of content classes and the sparse cosine kernel over it.
+
+    Parallel to ``NumpyBackend._content_exemplars``: class ``c`` owns the
+    entries ``offsets[c]:offsets[c + 1]`` of ``terms``/``weights``, in the
+    insertion order of its TCU vector, plus the scalar ``norm()`` of that
+    vector and, for empty vectors, an id of the raw answer (``-1`` for
+    non-empty ones).  :meth:`sync` registers the exemplars appended since
+    the last call, so each class is read from its vector exactly once.
+
+    :meth:`cosines` reproduces :meth:`~repro.text.vector.SparseVector.cosine`
+    bit for bit on every class pair: the row entries are joined to the
+    column entries on term id, each pair's products are ordered by their
+    position in the vector that ``SparseVector.dot`` iterates (the shorter
+    one, the row on equal length) and summed rank by rank from ``0.0`` --
+    the same sequence of IEEE additions as the scalar loop, where
+    ``reduceat``/``sum`` would sum pairwise.
+    """
+
+    def __init__(self, np) -> None:
+        self._np = np
+        self.count = 0
+        self.terms = np.zeros(0, dtype=np.int64)
+        self.weights = np.zeros(0, dtype=np.float64)
+        self.offsets = np.zeros(1, dtype=np.intp)
+        self.lengths = np.zeros(0, dtype=np.intp)
+        self.norms = np.zeros(0, dtype=np.float64)
+        self.answers = np.zeros(0, dtype=np.intp)
+        self._answer_ids: Dict[object, int] = {}
+        # (column class ids, column side of the join): representatives stay
+        # the columns of many consecutive calls
+        self._column_side = None
+
+    def sync(self, exemplars: Sequence[TreeTupleItem]) -> None:
+        """Register every exemplar appended since the last call."""
+        if self.count == len(exemplars):
+            return
+        np = self._np
+        terms: List[int] = []
+        weights: List[float] = []
+        lengths: List[int] = []
+        norms: List[float] = []
+        answers: List[int] = []
+        answer_ids = self._answer_ids
+        for item in exemplars[self.count:]:
+            vector = item.vector
+            lengths.append(len(vector))
+            norms.append(vector.norm())
+            for term, weight in vector.items():
+                terms.append(term)
+                weights.append(weight)
+            answers.append(
+                -1 if vector else answer_ids.setdefault(item.answer, len(answer_ids))
+            )
+        self.count = len(exemplars)
+        self.terms = np.concatenate([self.terms, np.array(terms, dtype=np.int64)])
+        self.weights = np.concatenate(
+            [self.weights, np.array(weights, dtype=np.float64)]
+        )
+        self.lengths = np.concatenate(
+            [self.lengths, np.array(lengths, dtype=np.intp)]
+        )
+        self.offsets = np.concatenate(
+            [self.offsets, self.offsets[-1] + np.cumsum(lengths, dtype=np.intp)]
+        )
+        self.norms = np.concatenate([self.norms, np.array(norms, dtype=np.float64)])
+        self.answers = np.concatenate(
+            [self.answers, np.array(answers, dtype=np.intp)]
+        )
+
+    def _entries(self, classes):
+        """Registry entry ids of *classes*, their owner (local class index)
+        and their position within the owner's vector."""
+        np = self._np
+        lengths = self.lengths[classes]
+        owner = np.repeat(np.arange(len(classes), dtype=np.intp), lengths)
+        starts = np.cumsum(lengths) - lengths
+        position = np.arange(int(lengths.sum()), dtype=np.intp) - starts[owner]
+        return self.offsets[classes][owner] + position, owner, position
+
+    def _columns(self, classes):
+        """Column side of the join, sorted by term id (cached per class set)."""
+        key = classes.tobytes()
+        side = self._column_side
+        if side is None or side[0] != key:
+            np = self._np
+            entries, owner, position = self._entries(classes)
+            terms = self.terms[entries]
+            order = np.argsort(terms, kind="stable")
+            side = (
+                key,
+                terms[order],
+                self.weights[entries][order],
+                owner[order],
+                position[order],
+            )
+            self._column_side = side
+        return side[1:]
+
+    def cosines(self, rows, columns):
+        """``SparseVector.cosine`` of every (row class, column class) pair."""
+        np = self._np
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        width = len(columns)
+        dots = np.zeros((len(rows), width), dtype=np.float64)
+        column_terms, column_weights, column_owner, column_position = (
+            self._columns(columns)
+        )
+        row_entries, row_owner, row_position = self._entries(rows)
+        row_terms = self.terms[row_entries]
+        low = np.searchsorted(column_terms, row_terms, side="left")
+        counts = np.searchsorted(column_terms, row_terms, side="right") - low
+        total = int(counts.sum())
+        if total:
+            # one joined pair per (row entry, column entry) sharing a term
+            left = np.repeat(np.arange(len(row_terms), dtype=np.intp), counts)
+            right = np.repeat(low - (np.cumsum(counts) - counts), counts) + np.arange(
+                total, dtype=np.intp
+            )
+            i = row_owner[left]
+            j = column_owner[right]
+            products = self.weights[row_entries][left] * column_weights[right]
+            # SparseVector.dot iterates the shorter vector (the row one on
+            # equal length): its positions fix the order of the additions
+            rank = np.where(
+                self.lengths[rows][i] > self.lengths[columns][j],
+                column_position[right],
+                row_position[left],
+            )
+            pair = i * width + j
+            order = np.lexsort((rank, pair))
+            pair = pair[order]
+            products = products[order]
+            first = np.empty(total, dtype=bool)
+            first[0] = True
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            segment = np.cumsum(first) - 1
+            ordinal = np.arange(total, dtype=np.intp) - starts[segment]
+            padded = np.zeros((len(starts), int(ordinal.max()) + 1), dtype=np.float64)
+            padded[segment, ordinal] = products
+            # sequential sum rank by rank; the trailing zero padding adds
+            # +0.0, which leaves every (never negative-zero) total unchanged
+            sums = np.zeros(len(starts), dtype=np.float64)
+            for rank_column in padded.T:
+                sums += rank_column
+            dots.reshape(-1)[pair[starts]] = sums
+        denominator = self.norms[rows][:, None] * self.norms[columns][None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = dots / denominator
+        value = np.where(denominator == 0.0, 0.0, value)
+        return np.where(value > 1.0, 1.0, np.where(value < 0.0, 0.0, value))
+
+    def content(self, rows, columns):
+        """:func:`~repro.similarity.content.content_similarity` of every
+        (row class, column class) pair: the cosine, except that two empty
+        vectors score 1.0 on equal raw answers and 0.0 otherwise."""
+        np = self._np
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        block = self.cosines(rows, columns)
+        row_answers = self.answers[rows]
+        column_answers = self.answers[columns]
+        both_empty = (self.lengths[rows] == 0)[:, None] & (
+            self.lengths[columns] == 0
+        )[None, :]
+        same_answer = row_answers[:, None] == column_answers[None, :]
+        return np.where(both_empty, np.where(same_answer, 1.0, 0.0), block)
+
+
 class NumpyBackend:
     """Vectorized batch backend built on numpy array kernels.
 
@@ -505,9 +679,10 @@ class NumpyBackend:
     * ``tag_path_ids`` indexing a dense structural-similarity matrix whose
       entries come from the shared tag-path cache (the paper's Sec. 4.3.2
       precomputation, materialised as an array);
-    * ``content_ids`` indexing a memoised content-similarity block keyed by
+    * ``content_ids`` indexing a content-similarity block keyed by
       *content class* (the ordered term/weight tuple of the TCU vector, or
-      the raw answer for empty TCUs), computed with the exact scalar
+      the raw answer for empty TCUs), computed by the sparse term join of
+      :class:`_ContentClasses`, bit-exact with the scalar
       :func:`~repro.similarity.content.content_similarity`;
     * ``uids`` (canonical item identifiers under transaction-item equality)
       used for the ``|match_gamma|`` and ``|tr1 ∪ tr2|`` set counts.
@@ -567,8 +742,7 @@ class NumpyBackend:
         self._tp_matrix = self._np.zeros((0, 0), dtype=self._np.float64)
         self._content_index: Dict[tuple, int] = {}
         self._content_exemplars: List[TreeTupleItem] = []
-        self._content_memo: Dict[Tuple[int, int], float] = {}
-        self._cosine_memo: Dict[Tuple[int, int], float] = {}
+        self._content_classes = _ContentClasses(self._np)
         self._uid_index: Dict[TreeTupleItem, int] = {}
         # --- compiled transactions ---------------------------------------- #
         # The pinned cache is keyed by transaction *value* (transactions are
@@ -772,7 +946,16 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
-    def _compile(self, transaction: Transaction) -> _CompiledTransaction:
+    def _compile(
+        self, transaction: Transaction, retain: bool = True
+    ) -> _CompiledTransaction:
+        """Compiled view of *transaction*, from a cache when possible.
+
+        A fresh compilation is parked in the transient cache, unless
+        *retain* is false: one-off rows such as classify queries would
+        only hold their transactions alive there, since that cache is
+        keyed by identity and a new query never hits it again.
+        """
         compiled = self._pinned.get(transaction)
         if compiled is not None:
             return compiled
@@ -785,9 +968,10 @@ class NumpyBackend:
             self._pinned[transaction] = compiled
             return compiled
         compiled = self._compile_items(transaction)
-        if len(self._transient) >= self.TRANSIENT_CAP:
-            self._transient.clear()
-        self._transient[key] = (transaction, compiled)
+        if retain:
+            if len(self._transient) >= self.TRANSIENT_CAP:
+                self._transient.clear()
+            self._transient[key] = (transaction, compiled)
         return compiled
 
     def _compile_items(self, transaction: Transaction) -> _CompiledTransaction:
@@ -883,36 +1067,29 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     # Content block
     # ------------------------------------------------------------------ #
+    def _synced_classes(self) -> _ContentClasses:
+        """The content-class registry, covering every exemplar registered
+        so far (after a store attach: once the registries are hydrated)."""
+        if not self._hydrated:
+            self._ensure_hydrated()
+        self._content_classes.sync(self._content_exemplars)
+        return self._content_classes
+
     def _content_block(self, row_classes, column_classes):
         """Dense content-similarity block for the given content-class ids.
 
-        Entries are memoised per *ordered* (row class, column class) pair:
-        the scalar kernel is not perfectly symmetric at the ULP level (the
-        sparse dot iterates the smaller operand), and the reference code
-        always evaluates ``sim(transaction item, representative item)`` in
-        that order.
+        Evaluated over *ordered* (row class, column class) pairs by the
+        sparse term join of :class:`_ContentClasses`: the scalar kernel is
+        not perfectly symmetric at the ULP level (the sparse dot iterates
+        the smaller operand), and the reference code always evaluates
+        ``sim(transaction item, representative item)`` in that order.
         """
-        if not self._hydrated:
-            self._ensure_hydrated()
-        np = self._np
-        memo = self._content_memo
-        exemplars = self._content_exemplars
-        block = np.empty((len(row_classes), len(column_classes)), dtype=np.float64)
-        for i, row_class in enumerate(row_classes):
-            row_item = exemplars[row_class]
-            for j, column_class in enumerate(column_classes):
-                pair = (row_class, column_class)
-                value = memo.get(pair)
-                if value is None:
-                    value = content_similarity(row_item, exemplars[column_class])
-                    memo[pair] = value
-                block[i, j] = value
-        return block
+        return self._synced_classes().content(row_classes, column_classes)
 
     def _content_maps(self, row_classes, column_classes):
         """Content block plus full-size local-id remap arrays.
 
-        The single construction of the memoised content lookup shared by
+        The single construction of the content lookup shared by
         every batch kernel (including subclasses such as the torch
         backend, whose parity contract depends on gathering the *same*
         floats): the dense block for the given class-id sets, and two
@@ -920,7 +1097,7 @@ class NumpyBackend:
         class id to its row/column position in that block.
         """
         np = self._np
-        content = self._content_block(row_classes.tolist(), column_classes.tolist())
+        content = self._content_block(row_classes, column_classes)
         row_remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
         row_remap[row_classes] = np.arange(len(row_classes), dtype=np.intp)
         column_remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
@@ -938,22 +1115,7 @@ class NumpyBackend:
         so one cosine per ordered class pair reproduces every per-item
         cosine of the reference loop bit-for-bit.
         """
-        if not self._hydrated:
-            self._ensure_hydrated()
-        np = self._np
-        memo = self._cosine_memo
-        exemplars = self._content_exemplars
-        block = np.empty((len(classes), len(classes)), dtype=np.float64)
-        for i, row_class in enumerate(classes):
-            row_vector = exemplars[row_class].vector
-            for j, column_class in enumerate(classes):
-                pair = (row_class, column_class)
-                value = memo.get(pair)
-                if value is None:
-                    value = row_vector.cosine(exemplars[column_class].vector)
-                    memo[pair] = value
-                block[i, j] = value
-        return block
+        return self._synced_classes().cosines(classes, classes)
 
     # ------------------------------------------------------------------ #
     # Batch kernel (tiled)
@@ -1000,8 +1162,16 @@ class NumpyBackend:
         spans.append((start, count))
         return spans
 
-    def _pair_similarities(self, rows: Sequence[Transaction], columns: Sequence[Transaction]):
+    def _pair_similarities(
+        self,
+        rows: Sequence[Transaction],
+        columns: Sequence[Transaction],
+        retain_rows: bool = True,
+    ):
         """Return the (len(rows), len(columns)) array of sim^gamma_J values.
+
+        ``retain_rows=False`` compiles rows the caches miss without keeping
+        them (see :meth:`_compile`).
 
         Evaluated in ``(row_tile x column_tile)`` blocks: contiguous
         groups of transactions whose item totals stay within
@@ -1018,7 +1188,7 @@ class NumpyBackend:
         gamma = self.config.gamma
         sims = np.zeros((len(rows), len(columns)), dtype=np.float64)
 
-        compiled_rows = [self._compile(row) for row in rows]
+        compiled_rows = [self._compile(row, retain_rows) for row in rows]
         compiled_columns = [self._compile(column) for column in columns]
         row_positions = [i for i, c in enumerate(compiled_rows) if c.length]
         column_positions = [j for j, c in enumerate(compiled_columns) if c.length]
@@ -1178,17 +1348,13 @@ class NumpyBackend:
     # ------------------------------------------------------------------ #
     def item_similarity(self, item_a: TreeTupleItem, item_b: TreeTupleItem) -> float:
         """Combined item similarity (Eq. 1) from the shared tag-path cache
-        and the memoised per-content-class block; bit-exact with the scalar
-        reference (same IEEE-754 operation order, same short-circuits)."""
+        and the scalar content similarity; bit-exact with the reference
+        (same IEEE-754 operation order, same short-circuits)."""
         structural = self.cache.item_similarity(item_a, item_b)
         f = self.config.f
         if f == 1.0:
             return structural
-        pair = (self._content_id(item_a), self._content_id(item_b))
-        value = self._content_memo.get(pair)
-        if value is None:
-            value = content_similarity(item_a, item_b)
-            self._content_memo[pair] = value
+        value = content_similarity(item_a, item_b)
         if f == 0.0:
             return value
         return f * structural + (1.0 - f) * value
@@ -1274,7 +1440,11 @@ class NumpyBackend:
         if not representatives:
             return [(-1, 0.0) for _ in transactions]
         np = self._np
-        sims = self._pair_similarities(transactions, representatives)
+        # the rows are either compiled corpus transactions already or
+        # one-off queries: compiling them never needs to retain them
+        sims = self._pair_similarities(
+            transactions, representatives, retain_rows=False
+        )
         # np.argmax keeps the first maximum, matching the reference loop's
         # strictly-greater update (ties break to the lowest index).
         best = np.argmax(sims, axis=1)
@@ -1321,7 +1491,7 @@ class NumpyBackend:
     def rank_items_batch(self, items: Sequence[TreeTupleItem]) -> List[float]:
         """Blended structural/content ranks of the whole pool: structural
         sums over the compiled tag-path matrix, content sums over the
-        memoised per-class cosine block.
+        per-class cosine block of the sparse term join.
 
         Both gathers are evaluated in ``(row_tile x column_tile)`` blocks
         of at most :attr:`effective_block_items` items per side, so peak
@@ -1381,11 +1551,11 @@ class NumpyBackend:
         else:
             rank_s = np.zeros(n, dtype=np.float64)
 
-        # --- content ranking (memoised per-class cosine block) ------------- #
+        # --- content ranking (per-class cosine block) ----------------------- #
         if f != 1.0:
             class_ids = np.array([self._content_id(item) for item in items], dtype=np.intp)
             present = np.unique(class_ids)
-            block = self._cosine_block(present.tolist())
+            block = self._cosine_block(present)
             remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
             remap[present] = np.arange(len(present), dtype=np.intp)
             local = remap[class_ids]

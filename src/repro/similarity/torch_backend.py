@@ -5,7 +5,7 @@ registry as the ``python`` / ``numpy`` / ``sharded`` backends (see
 ``docs/ARCHITECTURE.md``, "How to add a backend").  It mirrors
 :class:`~repro.similarity.backend.NumpyBackend`'s compiled-corpus layout --
 the same per-transaction tag-path / content-class / uid id arrays, the same
-shared tag-path matrix and memoised per-content-class blocks -- but
+shared tag-path matrix and per-content-class blocks -- but
 evaluates the batched gamma-match kernels as padded tensor reductions on a
 configurable torch device.
 
@@ -15,7 +15,7 @@ The backend spec is ``"torch[:device][:block=N]"`` (the ``block=`` part
 configures the tile budget of the batched kernels, see *Tiling* below):
 
 * ``"torch"`` -- CPU, float64: **bit-exact** with the scalar reference.
-  Every item similarity is gathered from the same scalar-function caches as
+  Every item similarity is gathered from the same content-class blocks as
   the numpy engine and blended with the same elementwise IEEE-754
   operations in float64; the gamma-match reductions are max/any reductions
   (order-independent, hence exact), and every accumulation that feeds a
@@ -179,7 +179,7 @@ class TorchBackend(NumpyBackend):
     Shares the whole compilation pipeline with
     :class:`~repro.similarity.backend.NumpyBackend` -- the tag-path /
     content-class / uid registries, the pinned and transient compile
-    caches, the scalar-function memo blocks -- and overrides the two batch
+    caches, the content-class kernel -- and overrides the two batch
     kernels (:meth:`_pair_similarities`, :meth:`rank_items_batch`) with
     padded tensor reductions on the configured device.  Every derived entry
     point (``assign_all``, ``score_candidates``, ``nearest_representative``,
@@ -262,7 +262,12 @@ class TorchBackend(NumpyBackend):
             mask[position, : compiled.length] = True
         return self._torch.as_tensor(mask).to(self.device)
 
-    def _pair_similarities(self, rows: Sequence[Transaction], columns: Sequence[Transaction]):
+    def _pair_similarities(
+        self,
+        rows: Sequence[Transaction],
+        columns: Sequence[Transaction],
+        retain_rows: bool = True,
+    ):
         """The (rows x columns) ``sim^gamma_J`` block via padded tensor tiles.
 
         Row and column transactions are partitioned into contiguous tiles
@@ -285,7 +290,7 @@ class TorchBackend(NumpyBackend):
         gamma = self.config.gamma
         sims = np.zeros((len(rows), len(columns)), dtype=np.float64)
 
-        compiled_rows = [self._compile(row) for row in rows]
+        compiled_rows = [self._compile(row, retain_rows) for row in rows]
         compiled_columns = [self._compile(column) for column in columns]
         row_positions = [i for i, c in enumerate(compiled_rows) if c.length]
         column_positions = [j for j, c in enumerate(compiled_columns) if c.length]
@@ -449,7 +454,7 @@ class TorchBackend(NumpyBackend):
         replay the reference left-to-right accumulation column by column
         across the ordered tiles, so on CPU float64 every rank is
         bit-identical to the scalar loop (same guarantee as the numpy
-        backend, same memoised cosine block).
+        backend, same per-class cosine block).
         """
         items = list(items)
         n = len(items)
@@ -514,13 +519,13 @@ class TorchBackend(NumpyBackend):
         else:
             rank_s = torch.zeros(n, dtype=self.dtype, device=self.device)
 
-        # --- content ranking (memoised per-class cosine block) ------------- #
+        # --- content ranking (per-class cosine block) ----------------------- #
         if f != 1.0:
             class_ids = np.array(
                 [self._content_id(entry) for entry in items], dtype=np.intp
             )
             present = np.unique(class_ids)
-            block = self._cosine_block(present.tolist())
+            block = self._cosine_block(present)
             remap = np.zeros(len(self._content_exemplars), dtype=np.intp)
             remap[present] = np.arange(len(present), dtype=np.intp)
             local = self._index_tensor(remap[class_ids])

@@ -295,6 +295,33 @@ class TestWarmStorePath:
             )
             assert ours.assignments == theirs.assignments
 
+    def test_repeated_classifies_do_not_grow_the_transient_cache(
+        self, dblp_small, dblp_documents, tmp_path
+    ):
+        """Regression: every query's transactions used to be parked in the
+        backend's identity-keyed transient compile cache, where no later
+        query can hit them, so a serving process grew with the requests
+        it served until the cache cap cleared it."""
+        fit_and_save(dblp_small, tmp_path / "model")
+        reference = load_model(tmp_path / "model", backend="python")
+        model = load_model(tmp_path / "model")
+        documents = dblp_documents[:6]
+        verdicts = [reference.classify(document) for document in documents]
+        transient = model.engine.backend._transient
+        sizes = []
+        for _ in range(3):
+            for document, verdict in zip(documents, verdicts):
+                ours = model.classify(document)
+                assert (ours.cluster_id, ours.score) == (
+                    verdict.cluster_id,
+                    verdict.score,
+                )
+                assert ours.assignments == verdict.assignments
+            sizes.append(len(transient))
+        # only the representatives are retained, whatever the request count
+        assert sizes == [sizes[0]] * 3
+        assert sizes[0] <= len(model.assignment_representatives)
+
     def test_classify_of_unknown_vocabulary_is_robust(
         self, dblp_small, tmp_path
     ):
